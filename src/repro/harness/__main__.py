@@ -699,8 +699,10 @@ def _run_serve_offline(args) -> int:
     if session is None:
         return 2
     trace = ReplayTraceConfig(path=args.trace, rate_scale=args.rate_scale)
-    # SIGTERM behaves like ^C: cut intake, drain bounded, report.
-    signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
+    # SIGTERM behaves like ^C: cut intake, drain bounded, report.  The
+    # previous handler comes back on the way out, so an in-process caller
+    # (or a worker it forks later) is not left raising KeyboardInterrupt.
+    previous = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
     try:
         # Attaching primes the source's first record, so file problems
         # (missing trace, malformed line 1) surface here as well as
@@ -716,6 +718,8 @@ def _run_serve_offline(args) -> int:
         if args.record_trace:
             _serve_record(session, args.record_trace)
         return 130
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     ttfts = metrics.ttfts()
     mean_ttft = (
         f"{sum(ttfts) / len(ttfts):.3f}s mean ttft" if ttfts else "no ttft"

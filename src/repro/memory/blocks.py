@@ -250,6 +250,27 @@ class KVPool:
     # ------------------------------------------------------------------
     # invariants (exercised by property tests)
     # ------------------------------------------------------------------
+    def check_mirrors(self, requests) -> None:
+        """Each request's ``kv_tokens``/``on_gpu`` fields mirror the registry.
+
+        Batch formation reads residency from those fields instead of
+        querying the pool per request: a held request must read
+        ``(tokens, on_gpu)`` with ``tokens > 0`` (a non-zero
+        ``kv_tokens`` off the GPU means "swapped out"), an unheld one
+        ``(0, False)``.
+        """
+        for req in requests:
+            entry = self._residency.get(req.rid, (0, False))
+            if (req.kv_tokens, req.on_gpu) != entry:
+                raise AssertionError(
+                    f"request {req.rid} residency fields "
+                    f"{(req.kv_tokens, req.on_gpu)} != registry {entry}"
+                )
+            if req.rid in self._residency and entry[0] <= 0:
+                raise AssertionError(
+                    f"request {req.rid} holds an empty allocation"
+                )
+
     def check_invariants(self) -> None:
         """Internal consistency: registry totals match the running counters."""
         gpu_blocks = sum(

@@ -19,6 +19,19 @@ mechanism with different *priority keys*:
 Priority *state* (multilevel ladder position, band) lives on the request;
 policies are stateless apart from a sequence counter, which keeps the whole
 zoo small and uniformly testable.
+
+Batch formation runs on every reform (each arrival, completion, phase
+flip or quantum expiry), so :meth:`IntraScheduler.form_batch` is the
+simulator's hot loop.  One pass snapshots the live requests together
+with the GPU blocks they hold, the policy key sorts them, and one walk
+over the sorted order reserves blocks, with the block arithmetic
+inline, and collects the evictions, swap-ins, admissions and parked
+requests as it goes.  Residency comes from the
+``kv_tokens``/``on_gpu`` fields the instance's KV pool keeps in sync, so
+the walk makes no pool call per request.  At about 220 resident requests
+the cost is the per-request walk, not the sort.  The multi-pass
+formulation this replaced lives on in ``tests/reference_former.py`` as
+the oracle the walk is property-tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +44,9 @@ from repro.workload.request import ReqState, Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.instance import ServingInstance
+
+_FINISHED = ReqState.FINISHED
+_RUNNING = ReqState.RUNNING
 
 
 class StepKind(Enum):
@@ -121,61 +137,82 @@ class IntraScheduler:
     # batch formation
     # ------------------------------------------------------------------
     def form_batch(self, inst: "ServingInstance", now: float) -> StepPlan:
-        """Recompute GPU residency and the next step's batch."""
+        """Recompute GPU residency and the next step's batch.
+
+        Residency is read from ``req.on_gpu`` / ``req.kv_tokens``, which
+        the instance's :class:`~repro.memory.blocks.KVPool` keeps in sync
+        for every request it holds (an unheld request reads
+        ``(0, False)``; ``ServingInstance.check_invariants`` enforces
+        both).  Subclasses change the priority key, never this method.
+        """
         pool = inst.pool
         cfg = inst.config.scheduler
-        live = [r for r in inst.requests if not r.finished]
+        block_size = pool.block_size
+        # Snapshot the live requests and, in the same pass, the GPU blocks
+        # they hold.  Blocks pinned by requests that are no longer
+        # schedulable here (KV caches mid-migration stay allocated until
+        # the copy lands) are off-limits for this plan.  Block counts here
+        # and in the walk are ``KVPool.blocks_for`` (ceiling division by
+        # the block size) written inline: this loop runs per request on
+        # every reform.
+        live: list[Request] = []
+        resident_blocks = 0
+        for req in inst.requests:
+            if req.state is _FINISHED:
+                continue
+            live.append(req)
+            if req.on_gpu:
+                resident_blocks += -(-req.kv_tokens // block_size)
         self.refresh(live, now)
-        order = sorted(live, key=self.priority_key)
+        live.sort(key=self.priority_key)
 
-        # Blocks pinned by requests that are no longer schedulable here
-        # (KV caches mid-migration stay allocated until the copy lands)
-        # are off-limits for this plan.
-        resident_blocks = sum(
-            pool.blocks_for(r.kv_tokens)
-            for r in live
-            if pool.holds(r) and pool.on_gpu(r)
+        capacity = (
+            pool.gpu_capacity_blocks - pool.gpu_used_blocks + resident_blocks
         )
-        external_blocks = pool.gpu_used_blocks - resident_blocks
-        capacity = pool.gpu_capacity_blocks - external_blocks
+        room = cfg.max_batch_size  # execution slots still free
         planned_blocks = 0
         batch: list[Request] = []
-        keep_resident: list[Request] = []
+        unprefilled: list[Request] = []  # batched, prompt not yet run
+        park: list[Request] = []
         swap_in: list[Request] = []
         admit: list[Request] = []
         evict: list[Request] = []
         stop_admission = False
 
-        for req in order:
-            in_batch = len(batch) < cfg.max_batch_size
-            resident = pool.holds(req) and pool.on_gpu(req)
-            if not resident and not in_batch:
-                # No execution slot anyway; don't move memory for it.
-                continue
-            footprint = req.kv_tokens if pool.holds(req) else req.full_kv_tokens
-            need = pool.blocks_for(footprint + (1 if in_batch else 0))
-            fits = planned_blocks + need <= capacity
-            if resident:
-                if fits:
-                    planned_blocks += need
-                    keep_resident.append(req)
-                    if in_batch:
-                        batch.append(req)
-                else:
+        for req in live:
+            if req.on_gpu:
+                # A request given an execution slot reserves one token of
+                # growth; one without a slot stays resident (parked) if
+                # its current footprint still fits.
+                need = -(-(req.kv_tokens + (room > 0)) // block_size)
+                if planned_blocks + need > capacity:
                     evict.append(req)
-            else:
-                if stop_admission:
                     continue
-                if not fits:
+                planned_blocks += need
+                if room <= 0:
+                    if req.state is _RUNNING:
+                        park.append(req)
+                    continue
+            else:
+                if stop_admission or room <= 0:
+                    # No execution slot, or a higher-priority request
+                    # already failed to fit: don't move memory for it.
+                    continue
+                held = req.kv_tokens  # swapped out to CPU when non-zero
+                need = -(-((held or req.full_kv_tokens) + 1) // block_size)
+                if planned_blocks + need > capacity:
                     # Head-of-line: no lower-priority request may leapfrog.
                     stop_admission = True
                     continue
                 planned_blocks += need
-                if pool.holds(req):
+                if held:
                     swap_in.append(req)
                 else:
                     admit.append(req)
-                batch.append(req)
+            batch.append(req)
+            room -= 1
+            if not req.prefill_done:
+                unprefilled.append(req)
 
         # Apply residency changes: evictions first so swap-ins have room.
         for req in evict:
@@ -184,20 +221,19 @@ class IntraScheduler:
             inst.do_swap_in(req, now)
         for req in admit:
             inst.do_allocate(req, now)
-
         # Park everything resident-but-unbatched.
-        batch_set = set(id(r) for r in batch)
-        for req in keep_resident:
-            if id(req) not in batch_set and req.state == ReqState.RUNNING:
-                req.set_state(ReqState.QUEUED, now)
+        for req in park:
+            req.set_state(ReqState.QUEUED, now)
 
         if not batch:
             return StepPlan(StepKind.IDLE)
 
-        # vLLM runs pending prefills with priority over decode.
+        # vLLM runs pending prefills with priority over decode.  Allocation
+        # may have completed a prompt (``skip_prefill``), hence the
+        # re-check; ``unprefilled`` keeps batch order.
         prefills: list[Request] = []
         prefill_budget = cfg.max_prefill_tokens
-        for req in batch:
+        for req in unprefilled:
             if not req.prefill_done and req.prompt_len <= prefill_budget:
                 prefills.append(req)
                 prefill_budget -= req.prompt_len
@@ -208,9 +244,10 @@ class IntraScheduler:
                 prefill_tokens=sum(r.prompt_len for r in prefills),
             )
 
-        decodes = [r for r in batch if r.prefill_done]
-        if not decodes:
-            return StepPlan(StepKind.IDLE)
-        plan = StepPlan(StepKind.DECODE, decodes)
-        plan.prepare_decode(pool.block_size)
+        if any(not r.prefill_done for r in unprefilled):
+            batch = [r for r in batch if r.prefill_done]
+            if not batch:
+                return StepPlan(StepKind.IDLE)
+        plan = StepPlan(StepKind.DECODE, batch)
+        plan.prepare_decode(block_size)
         return plan

@@ -10,7 +10,13 @@ Hot-loop discipline: the batch formed by the scheduler is *reused* across
 steps until something scheduling-relevant happens (arrival, completion,
 phase transition, quantum expiry, migration, or the KV pool running out of
 growth room).  Clean steps therefore cost O(batch size), which is what
-makes cluster-scale experiments tractable in pure Python.
+makes cluster-scale experiments tractable in pure Python.  Every arrival
+needs a prefill step (vLLM runs prefills first), so under arrival churn
+epochs are about one step long and almost every token is emitted one at
+a time; :meth:`ServingInstance._emit_tokens` therefore records each run
+of tokens that are no milestone for their requests (no phase flip, first
+answering token, completion or quantum expiry) with one call, and sends
+only milestone tokens through the per-token hook path, in batch order.
 
 **Decode-epoch coalescing.**  A clean decode plan is deterministic for a
 provable horizon: nothing observable changes until some batched request
@@ -42,7 +48,14 @@ from repro.perfmodel.analytical import PerfModel
 from repro.schedulers.base import IntraScheduler, StepKind, StepPlan
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import EventKind
-from repro.workload.request import Phase, ReqState, Request
+from repro.workload.request import (
+    Phase,
+    ReqState,
+    Request,
+    record_plain_tokens,
+)
+
+_NO_QUANTUM = float("inf")
 
 #: Callback signatures the cluster wires up.
 TransitionHook = Callable[[Request, "ServingInstance", float], None]
@@ -297,6 +310,7 @@ class ServingInstance:
         """Running counters vs authoritative registries (property tests)."""
         self.sync()
         self.pool.check_invariants()
+        self.pool.check_mirrors(r for r in self.requests if not r.finished)
         pending = sum(
             r.full_kv_tokens
             for r in self.requests
@@ -468,11 +482,38 @@ class ServingInstance:
         self.decode_steps += 1
         self._emitting = True
         try:
-            for req in epoch.plan.requests:
-                self._emit_token(req, now)
+            self._emit_tokens(epoch.plan.requests, now)
         finally:
             self._emitting = False
         epoch.emitted = j + 1
+
+    def _emit_tokens(self, requests: list[Request], now: float) -> None:
+        """Record one token per request, in batch order.
+
+        A token that is no milestone for its request (see
+        :func:`~repro.workload.request.record_plain_tokens`) fires no
+        hook and touches only that request's counters, the instance's
+        token count and the token log, so runs of them are recorded
+        without a call per token.  Every milestone token goes through
+        :meth:`_emit_token`; since the loop keeps batch order,
+        each hook fires in the same order and sees the same state as on
+        an all-per-token path.
+        """
+        quantum = self.scheduler.quantum_tokens
+        if quantum is None:
+            quantum = _NO_QUANTUM
+        log = self.token_log
+        n = len(requests)
+        i = 0
+        while i < n:
+            j = record_plain_tokens(requests, i, now, quantum)
+            self.tokens_generated += j - i
+            if log is not None:
+                for req in requests[i:j]:
+                    log.setdefault(req.rid, []).append(now)
+            if j < n:
+                self._emit_token(requests[j], now)
+            i = j + 1
 
     def _finish_epoch(self) -> None:
         """The epoch's final event fired: emit everything still owed."""

@@ -341,6 +341,24 @@ class TestServe:
         assert rc == 2
         assert "bad.jsonl:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("outcome", ["served", "missing-file"])
+    def test_serve_restores_sigterm_handler(
+        self, tiny_trace, tmp_path, outcome
+    ):
+        # A handler left behind in the caller turns a later SIGTERM (for
+        # example Pool.terminate() on forked sweep workers) into a
+        # KeyboardInterrupt.
+        import signal
+
+        path = tiny_trace if outcome == "served" else str(tmp_path / "x")
+        saved = signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        try:
+            rc = main(["serve", "--trace", path, "--quiet"])
+            assert rc == (0 if outcome == "served" else 2)
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        finally:
+            signal.signal(signal.SIGTERM, saved)
+
 
 class TestImportTrace:
     def test_import_then_replay_round_trip(self, tmp_path, capsys):
